@@ -7,7 +7,7 @@ GO ?= go
 # slower and adds nothing — everything else is single-goroutine).
 RACE_PKGS := ./internal/mpi/... ./internal/core/...
 
-.PHONY: check build vet esvet test race racedist bench benchsmoke largesmoke spillsmoke clean
+.PHONY: check build vet esvet test race racedist bench benchsmoke fuzzsmoke largesmoke spillsmoke clean
 
 check: build vet esvet test race racedist
 
@@ -69,6 +69,15 @@ benchsmoke:
 	BENCHSMOKE=1 $(GO) test -run='^TestBenchsmokePergenRegression$$' -v ./internal/core/
 	BENCHSMOKE=1 $(GO) test -run='^TestBenchsmokeCurveballRegression$$' -v ./internal/core/
 	BENCHSMOKE=1 $(GO) test -run='^TestBenchsmokeOutOfCoreRegression$$' -v ./internal/core/
+
+# Fuzz smoke: 15 s of coverage-guided fuzzing on each decoder of peer or
+# disk bytes that has a fuzz target — the step-exchange payload and the
+# adjacency codec. Seed corpora already run under `make test`; this leg
+# searches beyond them. A crasher is written under the package's
+# testdata/fuzz/ and fails the target.
+fuzzsmoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzStepPayload$$' -fuzztime=15s ./internal/core/
+	$(GO) test -run='^$$' -fuzz='^FuzzAdjCodec$$' -fuzztime=15s ./internal/graph/
 
 # Large-graph smokes: a >=10^7-edge preferential-attachment graph
 # through the communication-free bootstrap at p=8, pinned to the exact

@@ -81,34 +81,41 @@ type workerOpts struct {
 
 func main() {
 	var o workerOpts
-	flag.StringVar(&o.graphPath, "graph", "", "edge-list file every rank loads (text, or binary with .bin)")
-	flag.StringVar(&o.genMod, "gen", "", "generate instead of loading: counter-based model (pa, contact); each rank builds only its own partition")
-	flag.IntVar(&o.genN, "n", 100000, "vertex count (with -gen)")
-	flag.IntVar(&o.genD, "d", 10, "degree parameter (with -gen: pa edges per vertex, contact average degree)")
-	flag.IntVar(&o.size, "size", 1, "total number of ranks")
-	flag.IntVar(&o.rank, "rank", 0, "this process's rank")
-	flag.StringVar(&o.coord, "coordinator", "127.0.0.1:9870", "rank 0's listen address")
-	flag.Int64Var(&o.tOps, "t", 0, "edge switch operations (0: derive from -x)")
-	flag.Float64Var(&o.x, "x", 1, "target visit rate when -t is 0")
-	flag.StringVar(&o.scheme, "scheme", "HP-U", "partitioning scheme: CP, HP-D, HP-M, HP-U")
-	flag.StringVar(&o.algo, "algo", "edge-switch", "randomization algorithm: edge-switch, curveball (curveball: -t counts global trade rounds, -steps is ignored; must match across ranks)")
-	flag.Int64Var(&o.steps, "steps", 1, "number of steps")
-	flag.Uint64Var(&o.seed, "seed", 1, "random seed (must match across ranks; with -gen it defines the graph)")
-	flag.StringVar(&o.outPath, "out", "", "rank 0 writes the switched graph here")
-	flag.BoolVar(&o.spawn, "spawn", false, "rank 0 spawns ranks 1..size-1 as local child processes")
-	flag.DurationVar(&o.timeout, "timeout", 30*time.Second, "coordinator dial timeout")
-	flag.DurationVar(&o.writeTO, "write-timeout", 30*time.Second, "transport write deadline (a dead peer surfaces within this)")
-	flag.StringVar(&o.ckDir, "checkpoint-dir", "", "directory for coordinated step-boundary checkpoints (empty: checkpointing off)")
-	flag.Int64Var(&o.ckEvery, "checkpoint-every", 1, "checkpoint every k-th step boundary (with -checkpoint-dir)")
-	flag.BoolVar(&o.restore, "restore", false, "resume from the newest restorable checkpoint in -checkpoint-dir before switching")
-	flag.IntVar(&o.maxRollbacks, "max-rollbacks", 3, "lost-peer rollback recoveries to attempt before failing (with -checkpoint-dir)")
-	flag.StringVar(&o.spillDir, "spill-dir", "", "spill this rank's partition to an mmap'd segment under this directory (tiered out-of-core store; safe to share across ranks — each uses its own subdirectory)")
-	flag.Int64Var(&o.overlay, "overlay-budget", 0, "overlay entry cap before compaction with -spill-dir (0: auto)")
+	registerFlags(flag.CommandLine, &o)
 	flag.Parse()
 	if err := run(o); err != nil {
 		fmt.Fprintf(os.Stderr, "esworker[%d]: %v\n", o.rank, err)
 		os.Exit(1)
 	}
+}
+
+// registerFlags binds every esworker flag to its field of o. It is the
+// one description of the command line: main parses it and childArgs
+// re-emits it for spawned ranks.
+func registerFlags(fs *flag.FlagSet, o *workerOpts) {
+	fs.StringVar(&o.graphPath, "graph", "", "edge-list file every rank loads (text, or binary with .bin)")
+	fs.StringVar(&o.genMod, "gen", "", "generate instead of loading: counter-based model (pa, contact); each rank builds only its own partition")
+	fs.IntVar(&o.genN, "n", 100000, "vertex count (with -gen)")
+	fs.IntVar(&o.genD, "d", 10, "degree parameter (with -gen: pa edges per vertex, contact average degree)")
+	fs.IntVar(&o.size, "size", 1, "total number of ranks")
+	fs.IntVar(&o.rank, "rank", 0, "this process's rank")
+	fs.StringVar(&o.coord, "coordinator", "127.0.0.1:9870", "rank 0's listen address")
+	fs.Int64Var(&o.tOps, "t", 0, "edge switch operations (0: derive from -x)")
+	fs.Float64Var(&o.x, "x", 1, "target visit rate when -t is 0")
+	fs.StringVar(&o.scheme, "scheme", "HP-U", "partitioning scheme: CP, HP-D, HP-M, HP-U")
+	fs.StringVar(&o.algo, "algo", "edge-switch", "randomization algorithm: edge-switch, curveball (curveball: -t counts global trade rounds, -steps is ignored; must match across ranks)")
+	fs.Int64Var(&o.steps, "steps", 1, "number of steps")
+	fs.Uint64Var(&o.seed, "seed", 1, "random seed (must match across ranks; with -gen it defines the graph)")
+	fs.StringVar(&o.outPath, "out", "", "rank 0 writes the switched graph here")
+	fs.BoolVar(&o.spawn, "spawn", false, "rank 0 spawns ranks 1..size-1 as local child processes")
+	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "coordinator dial timeout")
+	fs.DurationVar(&o.writeTO, "write-timeout", 30*time.Second, "transport write deadline (a dead peer surfaces within this)")
+	fs.StringVar(&o.ckDir, "checkpoint-dir", "", "directory for coordinated step-boundary checkpoints (empty: checkpointing off)")
+	fs.Int64Var(&o.ckEvery, "checkpoint-every", 1, "checkpoint every k-th step boundary (with -checkpoint-dir)")
+	fs.BoolVar(&o.restore, "restore", false, "resume from the newest restorable checkpoint in -checkpoint-dir before switching")
+	fs.IntVar(&o.maxRollbacks, "max-rollbacks", 3, "lost-peer rollback recoveries to attempt before failing (with -checkpoint-dir)")
+	fs.StringVar(&o.spillDir, "spill-dir", "", "spill this rank's partition to an mmap'd segment under this directory (tiered out-of-core store; safe to share across ranks — each uses its own subdirectory)")
+	fs.Int64Var(&o.overlay, "overlay-budget", 0, "overlay entry cap before compaction with -spill-dir (0: auto)")
 }
 
 // genSpec maps the -gen/-n/-d flags to a counter-based generator spec.
@@ -215,43 +222,38 @@ func run(o workerOpts) error {
 	return reapChildren(children, false)
 }
 
-// childArgs builds the command line for spawned rank r. Every rank must
+// rankLocal names the flags that describe one process rather than the
+// job. childArgs forwards every other registered flag, so a new flag
+// reaches spawned ranks without being listed anywhere.
+var rankLocal = map[string]bool{"rank": true, "spawn": true, "out": true, "restore": true}
+
+// childArgs builds the command line for spawned rank r: -rank r, then
+// every job flag of o as registered by registerFlags. Every rank must
 // derive identical (t, targetX, stepSize) from identical flags, so the
-// caller forwards the RAW -t/-x flag values verbatim — never a derived
-// t, which would suppress the child's visit-rate early stop and deadlock
-// it against ranks that do stop. With restore set the child resumes from
+// RAW -t/-x flag values are forwarded verbatim — never a derived t,
+// which would suppress the child's visit-rate early stop and deadlock it
+// against ranks that do stop. With restore set the child resumes from
 // the shared checkpoint directory (a replacement for a lost rank, or a
 // world-wide restart).
 func childArgs(o workerOpts, r int, restore bool) []string {
-	args := []string{
-		"-size", strconv.Itoa(o.size),
-		"-rank", strconv.Itoa(r),
-		"-coordinator", o.coord,
-		"-t", strconv.FormatInt(o.tOps, 10),
-		"-x", strconv.FormatFloat(o.x, 'g', -1, 64),
-		"-scheme", o.scheme,
-		"-algo", o.algo,
-		"-steps", strconv.FormatInt(o.steps, 10),
-		"-seed", strconv.FormatUint(o.seed, 10),
-		"-timeout", o.timeout.String(),
-	}
-	if o.genMod != "" {
-		// The generation spec must reach every rank verbatim — the
-		// seed and parameters ARE the graph.
-		args = append(args, "-gen", o.genMod, "-n", strconv.Itoa(o.genN), "-d", strconv.Itoa(o.genD))
-	} else {
-		args = append(args, "-graph", o.graphPath)
-	}
-	if o.ckDir != "" {
-		args = append(args,
-			"-checkpoint-dir", o.ckDir,
-			"-checkpoint-every", strconv.FormatInt(o.ckEvery, 10),
-			"-max-rollbacks", strconv.Itoa(o.maxRollbacks))
-	}
-	if o.spillDir != "" {
-		args = append(args, "-spill-dir", o.spillDir,
-			"-overlay-budget", strconv.FormatInt(o.overlay, 10))
-	}
+	var fo workerOpts
+	fs := flag.NewFlagSet("esworker", flag.ContinueOnError)
+	registerFlags(fs, &fo)
+	fo = o // the registered flag values point into fo, so they now read o
+	args := []string{"-rank", strconv.Itoa(r)}
+	fs.VisitAll(func(f *flag.Flag) {
+		v := f.Value.String()
+		// An unset optional path (-graph under -gen, -checkpoint-dir or
+		// -spill-dir off) stays unset rather than forwarded empty.
+		if rankLocal[f.Name] || (v == "" && f.DefValue == "") {
+			return
+		}
+		if bf, ok := f.Value.(interface{ IsBoolFlag() bool }); ok && bf.IsBoolFlag() {
+			args = append(args, "-"+f.Name+"="+v)
+			return
+		}
+		args = append(args, "-"+f.Name, v)
+	})
 	if restore {
 		args = append(args, "-restore")
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"net"
 	"os"
@@ -644,5 +645,69 @@ func TestChildArgsForwardCheckpointFlags(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("-restore missing from replacement child args %v", restoreArgs)
+	}
+}
+
+// TestChildArgsForwardEveryFlag walks every registered flag: each one is
+// either forwarded to spawned ranks with its exact value or rank-local
+// (rankLocal), and a flag missing from the table below fails the test.
+// -write-timeout once fell through a hand-written forwarding list and
+// children silently ran with the default deadline.
+func TestChildArgsForwardEveryFlag(t *testing.T) {
+	// One non-default value per registered flag.
+	values := map[string]string{
+		"graph": "g.bin", "gen": "contact", "n": "777", "d": "5", "size": "3",
+		"coordinator": "127.0.0.1:9", "t": "1234", "x": "0.75", "scheme": "HP-D",
+		"algo": "curveball", "steps": "9", "seed": "42", "timeout": "7s",
+		"write-timeout": "3s", "checkpoint-dir": "ck", "checkpoint-every": "4",
+		"max-rollbacks": "6", "spill-dir": "spill", "overlay-budget": "500",
+		// Rank-local: set in the parent, never inherited.
+		"rank": "5", "spawn": "true", "out": "o.bin", "restore": "true",
+	}
+	var o workerOpts
+	fs := flag.NewFlagSet("parent", flag.ContinueOnError)
+	registerFlags(fs, &o)
+	fs.VisitAll(func(f *flag.Flag) {
+		v, ok := values[f.Name]
+		if !ok {
+			t.Errorf("flag -%s is not in the table: give it a value (forwarded) or add it to rankLocal", f.Name)
+			return
+		}
+		if v == f.DefValue {
+			t.Errorf("table value %q of -%s is its default; the test needs a distinguishable value", v, f.Name)
+		}
+		if err := fs.Set(f.Name, v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for name := range rankLocal {
+		if fs.Lookup(name) == nil {
+			t.Errorf("rank-local flag -%s is not registered", name)
+		}
+	}
+	for _, restore := range []bool{false, true} {
+		args := childArgs(o, 2, restore)
+		var co workerOpts
+		cfs := flag.NewFlagSet("child", flag.ContinueOnError)
+		registerFlags(cfs, &co)
+		if err := cfs.Parse(args); err != nil || cfs.NArg() != 0 {
+			t.Fatalf("child args %q do not parse cleanly: %v (leftover %q)", args, err, cfs.Args())
+		}
+		cfs.VisitAll(func(f *flag.Flag) {
+			want := values[f.Name]
+			if rankLocal[f.Name] {
+				switch f.Name {
+				case "rank":
+					want = "2"
+				case "restore":
+					want = strconv.FormatBool(restore)
+				default:
+					want = f.DefValue
+				}
+			}
+			if got := f.Value.String(); got != want {
+				t.Errorf("restore=%v: child -%s = %q, want %q", restore, f.Name, got, want)
+			}
+		})
 	}
 }

@@ -14,14 +14,17 @@ import (
 	"edgeswitch/internal/tune/window"
 )
 
-// The checkpoint protocol (DESIGN.md §6): at a step boundary every rank
-// writes its snapshot to a per-rank file (tmp + rename, CRC32C trailer),
-// all ranks allreduce the global degree vector and checksum it (the
-// sanitizer's degree baseline doing double duty as the restore integrity
-// check), every rank's file CRC is allgathered — the "all ranks ack" —
-// and only then does rank 0 write the manifest (tmp + rename). A commit
-// broadcast follows before garbage collection, so a crash at any point
-// leaves the previous manifest and its files untouched and restorable.
+// The checkpoint protocol (DESIGN.md §6): at a step boundary all ranks
+// run the sanitizer's full pass and checksum the allreduced global degree
+// vector (the sanitizer's degree baseline doing double duty as the
+// restore integrity check; the pass's structural findings abort the
+// checkpoint in every run, its baseline comparison in sanitized runs),
+// every rank writes its snapshot to a per-rank file (tmp +
+// rename, CRC32C trailer), every rank's file CRC is allgathered — the
+// "all ranks ack" — and only then does rank 0 write the manifest (tmp +
+// rename). A commit broadcast follows before garbage collection, so a
+// crash at any point leaves the previous manifest and its files
+// untouched and restorable.
 //
 // Restore runs the protocol backwards: each rank scans the directory for
 // manifests matching the run's identity, verifies its own file against
@@ -114,15 +117,24 @@ func writeAtomic(path string, data []byte) error {
 	return os.Rename(tmp, path)
 }
 
-// degreeCRC allreduces the global degree vector (the sanitizer baseline
-// computation) and checksums it — identical on every rank, recorded in
-// the manifest and recomputed on restore.
-func (ck *checkpointer) degreeCRC(e *rankEngine) (uint32, error) {
-	glob, err := ck.c.AllreduceInt64s(e.localDegrees(), mpi.OpSum)
+// degreeCRC runs the sanitizer's full pass (fullScan) and checksums the
+// allreduced global degree vector — identical on every rank, recorded in
+// the manifest and recomputed on restore. The same pass is the
+// checkpoint's verification: it returns the scan's structural findings
+// in every run and, in sanitized runs with a recorded baseline, the
+// vector's drift from it too, so a checkpoint never commits a state the
+// pass rejects.
+func (ck *checkpointer) degreeCRC(e *rankEngine) (uint32, []Violation, error) {
+	glob, vs, err := e.fullScan()
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	return crc32.Checksum(mpi.Int64sToBytes(glob), castagnoli), nil
+	crc := crc32.Checksum(mpi.Int64sToBytes(glob[:e.n]), castagnoli)
+	vg := violations{list: vs}
+	if e.sanitize && e.baseDeg != nil {
+		e.checkBaselineTotals(&vg, glob)
+	}
+	return crc, vg.list, nil
 }
 
 // save runs one checkpoint at the boundary after e.stepsRun completed
@@ -140,11 +152,25 @@ func (ck *checkpointer) save(e *rankEngine, stepSize int64) error {
 	// failure.
 	var ext *segIdentity
 	var localErr error
-	if ts, ok := e.adj.(*store.Tiered); ok {
-		segPath := ckSegPath(ck.dir, step, ck.c.Rank())
+	ts, tiered := e.adj.(*store.Tiered)
+	if tiered {
 		if err := ts.Compact(); err != nil {
 			localErr = fmt.Errorf("core: compacting for checkpoint: %w", err)
-		} else if err := os.Remove(segPath); err != nil && !os.IsNotExist(err) {
+		}
+	}
+	// The full pass runs after the compaction (so it verifies the segment
+	// about to be published) and before anything is written: a state the
+	// pass rejects is neither linked, written nor committed.
+	degCRC, found, err := ck.degreeCRC(e)
+	if err != nil {
+		return err
+	}
+	if len(found) > 0 && localErr == nil {
+		localErr = fmt.Errorf("core: rank %d invariant sanitizer: %s", ck.c.Rank(), summarize(found))
+	}
+	if tiered && localErr == nil {
+		segPath := ckSegPath(ck.dir, step, ck.c.Rank())
+		if err := os.Remove(segPath); err != nil && !os.IsNotExist(err) {
 			localErr = fmt.Errorf("core: clearing stale checkpoint segment: %w", err)
 		} else if err := store.LinkOrCopy(ts.BasePath(), segPath); err != nil {
 			localErr = fmt.Errorf("core: linking checkpoint segment: %w", err)
@@ -157,10 +183,10 @@ func (ck *checkpointer) save(e *rankEngine, stepSize int64) error {
 	if err != nil {
 		return err
 	}
-	// A local write failure must not desert the collectives below — the
-	// peers would deadlock waiting in the allgather — so it rides in the
-	// ack (a status byte ahead of the CRC) and every rank aborts this
-	// checkpoint together after the commit broadcast.
+	// A local failure must not desert the collectives below — the peers
+	// would deadlock waiting in the allgather — so it rides in the ack (a
+	// status byte ahead of the CRC) and every rank aborts this checkpoint
+	// together after the commit broadcast.
 	var own [5]byte
 	own[0] = 1
 	putU32(own[1:], crc)
@@ -171,10 +197,6 @@ func (ck *checkpointer) save(e *rankEngine, stepSize int64) error {
 	}
 	if localErr != nil {
 		own[0] = 0
-	}
-	degCRC, err := ck.degreeCRC(e)
-	if err != nil {
-		return err
 	}
 	acks, err := ck.c.Allgather(own[:])
 	if err != nil {
@@ -535,7 +557,7 @@ func (ck *checkpointer) restoreEngine(pt partition.Partitioner, n int, m int64, 
 	// decode error paths above fire only on a corruption race, where the
 	// whole restore is abandoned anyway.
 	// collsync: post-agreement ranks cannot routinely diverge (see above)
-	degCRC, err := ck.degreeCRC(e)
+	degCRC, _, err := ck.degreeCRC(e)
 	if err != nil {
 		return nil, 0, err
 	}

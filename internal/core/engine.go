@@ -97,14 +97,22 @@ type rankEngine struct {
 	noBatch bool
 
 	// Invariant sanitizer (Config.CheckInvariants): when sanitize is set,
-	// baseDeg records the global degree sequence at load time, degDelta
-	// accumulates local degree changes between step boundaries for the
-	// sparse conservation check fused into stepExchange, and the full
-	// state is re-verified against baseDeg at the end of the run (see
-	// sanitize.go and stepsync.go).
-	sanitize bool
-	baseDeg  []int64
-	degDelta map[graph.Vertex]int32
+	// baseDeg records the global degree sequence at load time; degDelta
+	// (dense, length n) accumulates local degree changes between step
+	// boundaries over the vertices in touched, for the sparse
+	// conservation check fused into stepExchange; dirty holds the slots
+	// written since the last scan, the ones a boundary re-verifies;
+	// compactions is the store's compaction counter at the last full
+	// scan (a boundary that sees it moved scans every slot); pending
+	// holds the baseline pass's findings for the first boundary to
+	// report. See sanitize.go and stepsync.go.
+	sanitize    bool
+	baseDeg     []int64
+	degDelta    []int32
+	touched     touchSet
+	dirty       touchSet
+	compactions int64
+	pending     []Violation
 
 	// st accumulates this step's protocol signals; at each step boundary
 	// it is folded into tot and (in adaptive runs) fed to winCtl, then
@@ -128,8 +136,8 @@ type rankEngine struct {
 	restoredStep int64
 
 	// Reused step-boundary scratch (see stepsync.go): stepCounts holds
-	// the decoded per-rank edge counts, stepBuf the unchecked-run encode
-	// buffer — both allocated once so boundaries stay off the allocator.
+	// the decoded per-rank edge counts, stepBuf the encoded payload —
+	// both grow once so boundaries stay off the allocator.
 	stepCounts []int64
 	stepBuf    []byte
 
@@ -274,11 +282,13 @@ func newEmptyRankEngine(c *mpi.Comm, pt partition.Partitioner, n int, cfg Config
 		noBatch:  cfg.DisableBatching,
 		targetX:  cfg.TargetVisitRate,
 		stalled:  make([]bool, c.Size()),
-		stepBuf:  make([]byte, 20),
+		stepBuf:  make([]byte, 0, stepHeader),
 	}
 	e.sb.init(c)
 	if e.sanitize {
-		e.degDelta = make(map[graph.Vertex]int32)
+		e.degDelta = make([]int32, n)
+		e.touched = newTouchSet(n)
+		e.dirty = newTouchSet(len(e.verts))
 	}
 	e.index = make(map[graph.Vertex]int32, len(e.verts))
 	for i, v := range e.verts {
@@ -301,6 +311,7 @@ func (e *rankEngine) finishLoad(m int64, cfg Config) error {
 		return fmt.Errorf("core: rank %d finishing storage load: %w", e.c.Rank(), err)
 	}
 	e.m = m
+	e.compactions = e.adj.Stats().Compactions
 	e.initialEdges = e.deg.Total()
 	e.origLocal = 0
 	for li := range e.verts {
@@ -344,9 +355,9 @@ func (e *rankEngine) finishLoad(m int64, cfg Config) error {
 // boundary costs exactly one collective, the fused stepExchange: it
 // carries the edge counts prepare needs, the global originals sum for
 // visit-rate targeting, and, in sanitized runs, the sparse degree-delta
-// conservation check — a step's deltas are verified by the next
-// boundary's exchange, and the final step by the full verifyBaseline
-// pass at the end of the run.
+// conservation check plus the re-verification of the step's dirty slots
+// — a step is verified by the next boundary's exchange, and the final
+// step by the full verifyBaseline pass at the end of the run.
 func (e *rankEngine) run(t, stepSize int64) error {
 	if t == 0 {
 		return nil
@@ -605,15 +616,16 @@ func (e *rankEngine) checkStepInvariants() error {
 func (e *rankEngine) owner(ed graph.Edge) int { return e.pt.Owner(ed.U) }
 
 // takeLocal removes a uniform random local edge, returning it with its
-// original flag. The fused accounting (degree Fenwick, sanitizer delta,
-// originals counter) is what makes the sanitizer and the visit-rate
-// exchange algorithm-agnostic: any randomizer that mutates storage only
-// through these helpers keeps both exact.
+// original flag. The fused accounting (degree Fenwick, sanitizer delta
+// and dirty slot, originals counter) is what makes the sanitizer and the
+// visit-rate exchange algorithm-agnostic: any randomizer that mutates
+// storage only through these helpers keeps both exact.
 func (e *rankEngine) takeLocal() (graph.Edge, bool) {
 	slot, offset := e.deg.FindByPrefix(e.rnd.Int64n(e.deg.Total()))
 	v, orig := e.adj.Kth(slot, int(offset))
 	e.adj.Delete(slot, v)
 	e.deg.Add(slot, -1)
+	e.markDirty(slot)
 	ed := graph.Edge{U: e.verts[slot], V: v}
 	e.noteDegree(ed, -1)
 	if orig {
@@ -633,6 +645,7 @@ func (e *rankEngine) insertLocal(ed graph.Edge, orig bool) error {
 		return fmt.Errorf("core: rank %d insert found duplicate edge %v", e.c.Rank(), ed)
 	}
 	e.deg.Add(int(li), 1)
+	e.markDirty(int(li))
 	e.noteDegree(ed, 1)
 	if orig {
 		e.origLocal++
@@ -652,6 +665,7 @@ func (e *rankEngine) drainLocal(li int, fn func(ed graph.Edge, orig bool)) {
 		return
 	}
 	e.origLocal -= int64(e.adj.Originals(li))
+	e.markDirty(li)
 	e.adj.Drain(li, func(v graph.Vertex, orig bool) { // hotalloc: one closure per drained vertex per round, amortized over the adjacency walk
 		ed := graph.Edge{U: u, V: v}
 		e.noteDegree(ed, -1)

@@ -15,10 +15,14 @@ import (
 // edges), the degree sequence never moves, and every edge is owned by
 // exactly one partition. A violated invariant does not crash the engine;
 // it silently biases every statistic computed from the shuffled graph,
-// which is why checked runs re-verify the full state at every step
-// boundary (enable with Config.CheckInvariants) instead of trusting the
-// protocol. See Sanitize, SanitizeGraph and SanitizeDistribution for the
-// standalone checkers.
+// which is why checked runs (Config.CheckInvariants) re-verify the
+// engine's state instead of trusting the protocol. Every step boundary
+// re-verifies, in full, each storage slot written during the step and
+// checks that the step's degree deltas cancel across ranks; every slot
+// and the whole degree sequence are re-verified after load or restore,
+// after a store compaction, at every checkpoint and at run end (see the
+// engine-integration section below and stepsync.go). See Sanitize,
+// SanitizeGraph and SanitizeDistribution for the standalone checkers.
 
 // ViolationKind classifies a sanitizer finding.
 type ViolationKind string
@@ -209,29 +213,122 @@ func (vs *violations) addf(kind ViolationKind, format string, args ...any) {
 
 // ---- engine integration (Config.CheckInvariants) ----
 
-// localDegrees computes this rank's contribution to the global degree
-// vector: each locally stored reduced edge (u,v) adds one to both
-// endpoints. Summing the vectors over all ranks yields the full degree
-// sequence iff every edge is stored exactly once.
-func (e *rankEngine) localDegrees() []int64 {
-	deg := make([]int64, e.n)
-	for li := range e.verts {
-		u := e.verts[li]
-		e.adj.Walk(li, func(v graph.Vertex, _ bool) bool {
-			deg[u]++
-			deg[v]++
-			return true
-		})
+// The engine-side contract. Every slot the run writes passes through
+// takeLocal, insertLocal or drainLocal, which mark it dirty; a step
+// boundary re-verifies exactly the dirty slots, each in full, so a
+// sanitized boundary costs O(slots and vertices touched in the step)
+// rather than O(n + m/p). Every slot is re-verified at the first
+// boundary after load or restore (the baseline pass), at the boundary
+// after any store compaction, at every checkpoint (the pass that
+// computes the manifest's degree checksum, compared against the
+// baseline before the checkpoint may commit) and at run end. A write
+// that bypasses the helpers is therefore caught at the next of those
+// points at the latest.
+
+// slotScan is the state of one scan's adjacency walk; its visit method
+// is the Walk callback, bound once per scan so the walk allocates
+// nothing per slot.
+type slotScan struct {
+	vs      violations
+	rank, n int
+	u, prev graph.Vertex
+	deg     []int64
+}
+
+func (s *slotScan) visit(v graph.Vertex, _ bool) bool {
+	u := s.u
+	switch {
+	case v == u:
+		s.vs.addf(VSelfLoop, "edge (%d,%d) is a self-loop", u, v)
+	case v < u:
+		s.vs.addf(VOwnership, "rank %d stores unnormalized entry (%d,%d): reduced adjacency must only hold neighbours > %d", s.rank, u, v, u)
+	case int(v) >= s.n:
+		s.vs.addf(VVertexRange, "edge (%d,%d) has an endpoint outside [0,%d)", u, v, s.n)
+	case v <= s.prev:
+		s.vs.addf(VParallelEdge, "adjacency of vertex %d is not strictly ascending at %d", u, v)
 	}
-	return deg
+	s.prev = v
+	if s.deg != nil && v >= 0 && int(v) < s.n {
+		s.deg[u]++
+		s.deg[v]++
+	}
+	return true
+}
+
+// scanSlots re-verifies slots in full: the partitioner owns the slot's
+// vertex, every entry is no self-loop, normalized (neighbour > owner),
+// in range and strictly ascending, and the Fenwick degree equals the
+// entry count. It scans every slot when all is set and otherwise the
+// dirty ones, and either way leaves the dirty set empty — everything
+// written so far is now verified. A non-nil deg (length > n) also
+// accumulates this rank's share of the global degree vector: each
+// stored reduced edge (u,v) adds one to both endpoints, so summing the
+// shares over all ranks yields the full degree sequence iff every edge
+// is stored exactly once.
+func (e *rankEngine) scanSlots(all bool, deg []int64) []Violation {
+	s := &slotScan{rank: e.c.Rank(), n: e.n, deg: deg}
+	visit := s.visit
+	scan := func(li int) {
+		u := e.verts[li]
+		if owner := e.pt.Owner(u); owner != s.rank {
+			s.vs.addf(VOwnership, "rank %d holds vertex %d owned by rank %d", s.rank, u, owner)
+		}
+		s.u, s.prev = u, -1
+		e.adj.Walk(li, visit)
+		if int64(e.adj.Len(li)) != e.deg.Get(li) {
+			s.vs.addf(VEdgeCount, "Fenwick degree of vertex %d is %d, adjacency holds %d", u, e.deg.Get(li), e.adj.Len(li))
+		}
+	}
+	if all {
+		for li := range e.verts {
+			scan(li)
+		}
+		// A full scan covers every compaction before it.
+		e.compactions = e.adj.Stats().Compactions
+	} else {
+		e.dirty.sort()
+		for _, li := range e.dirty.list {
+			scan(int(li))
+		}
+	}
+	e.dirty.reset()
+	return s.vs.list
+}
+
+// boundaryScan is a sanitized step boundary's structural check: the
+// dirty slots, widened to every slot when the store compacted since the
+// last full scan (a compaction rewrites every slot's storage). The
+// first boundary after load or restore also reports the findings of
+// the baseline pass, recordBaseline's full scan.
+func (e *rankEngine) boundaryScan() []Violation {
+	all := e.adj.Stats().Compactions != e.compactions
+	vs := append(e.pending, e.scanSlots(all, nil)...)
+	e.pending = nil
+	return vs
+}
+
+// fullScan re-verifies every slot and allreduces the global degree
+// vector, with the global edge count appended at index n: the one
+// whole-partition pass behind the baseline record, checkpoints and the
+// end-of-run verification. All ranks enter its allreduce symmetrically.
+func (e *rankEngine) fullScan() ([]int64, []Violation, error) {
+	deg := make([]int64, e.n+1)
+	vs := e.scanSlots(true, deg)
+	deg[e.n] = e.deg.Total()
+	glob, err := e.c.AllreduceInt64s(deg, mpi.OpSum)
+	if err != nil {
+		return nil, nil, err
+	}
+	return glob, vs, nil
 }
 
 // recordBaseline captures the global degree sequence right after the
-// partitions are loaded (one O(n) allreduce; all ranks enter it
-// symmetrically before the first step).
+// partitions are loaded or restored (one O(n) allreduce; all ranks enter
+// it symmetrically before the first step). Its full scan is the first
+// boundary's: nothing mutates in between, so the findings are held for
+// that boundary's exchange to report.
 func (e *rankEngine) recordBaseline() error {
-	vec := append(e.localDegrees(), e.deg.Total())
-	glob, err := e.c.AllreduceInt64s(vec, mpi.OpSum)
+	glob, vs, err := e.fullScan()
 	if err != nil {
 		return err
 	}
@@ -239,60 +336,13 @@ func (e *rankEngine) recordBaseline() error {
 		return fmt.Errorf("core: rank %d invariant sanitizer: loaded %d edges across ranks, expected %d", e.c.Rank(), glob[e.n], e.m)
 	}
 	e.baseDeg = glob[:e.n]
+	e.pending = vs
 	return nil
 }
 
-// sanitizeLocal scans this rank's structures: simplicity (no loops, no
-// duplicates, normalized order), vertex ranges, Fenwick consistency, and
-// the ownership invariant (this rank holds exactly the reduced lists of
-// the vertices the partitioner assigns to it).
-func (e *rankEngine) sanitizeLocal() []Violation {
-	var vs violations
-	rank := e.c.Rank()
-	for li := range e.verts {
-		u := e.verts[li]
-		if owner := e.pt.Owner(u); owner != rank {
-			vs.addf(VOwnership, "rank %d holds vertex %d owned by rank %d", rank, u, owner)
-		}
-		prev := graph.Vertex(-1)
-		e.adj.Walk(li, func(v graph.Vertex, _ bool) bool {
-			switch {
-			case v == u:
-				vs.addf(VSelfLoop, "edge (%d,%d) is a self-loop", u, v)
-			case v < u:
-				vs.addf(VOwnership, "rank %d stores unnormalized entry (%d,%d): reduced adjacency must only hold neighbours > %d", rank, u, v, u)
-			case int(v) >= e.n:
-				vs.addf(VVertexRange, "edge (%d,%d) has an endpoint outside [0,%d)", u, v, e.n)
-			case v <= prev:
-				vs.addf(VParallelEdge, "adjacency of vertex %d is not strictly ascending at %d", u, v)
-			}
-			prev = v
-			return true
-		})
-		if int64(e.adj.Len(li)) != e.deg.Get(li) {
-			vs.addf(VEdgeCount, "Fenwick degree of vertex %d is %d, adjacency holds %d", u, e.deg.Get(li), e.adj.Len(li))
-		}
-	}
-	return vs.list
-}
-
-// verifyBaseline runs the full invariant suite at the end of the run:
-// the local structural scan plus a global degree-sequence and edge-count
-// comparison against the recorded baseline (one O(n) allreduce that all
-// ranks enter symmetrically). Step boundaries are covered by the sparse
-// delta check fused into stepExchange (see stepsync.go); this full pass
-// backstops it once per run, catching the final step's deltas and any
-// drift the delta bookkeeping itself could miss (a mutation path that
-// bypasses noteDegree).
-func (e *rankEngine) verifyBaseline() error {
-	vs := e.sanitizeLocal()
-	vec := append(e.localDegrees(), e.deg.Total())
-	glob, err := e.c.AllreduceInt64s(vec, mpi.OpSum)
-	if err != nil {
-		return err
-	}
-	var vg violations
-	vg.list = vs
+// checkBaselineTotals appends the drift of a fullScan's global vector
+// from the recorded baseline.
+func (e *rankEngine) checkBaselineTotals(vg *violations, glob []int64) {
 	if glob[e.n] != e.m {
 		vg.addf(VEdgeCount, "edge count %d != invariant %d: a switch lost or invented an edge", glob[e.n], e.m)
 	}
@@ -301,6 +351,24 @@ func (e *rankEngine) verifyBaseline() error {
 			vg.addf(VDegreeDrift, "degree of vertex %d is %d, baseline %d", v, glob[v], e.baseDeg[v])
 		}
 	}
+}
+
+// verifyBaseline runs the full invariant suite at the end of the run:
+// the structural scan of every slot plus a global degree-sequence and
+// edge-count comparison against the recorded baseline (one O(n)
+// allreduce that all ranks enter symmetrically). Step boundaries are
+// covered by the dirty-slot scan and the sparse delta check fused into
+// stepExchange (see stepsync.go); this full pass backstops them once per
+// run, catching the final step's deltas and any drift the incremental
+// bookkeeping itself could miss (a mutation path that bypasses the
+// accounting helpers).
+func (e *rankEngine) verifyBaseline() error {
+	glob, vs, err := e.fullScan()
+	if err != nil {
+		return err
+	}
+	vg := violations{list: vs}
+	e.checkBaselineTotals(&vg, glob)
 	if len(vg.list) > 0 {
 		return fmt.Errorf("core: rank %d invariant sanitizer: %s", e.c.Rank(), summarize(vg.list))
 	}

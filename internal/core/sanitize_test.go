@@ -263,10 +263,11 @@ func TestEngineSanitizerCleanAfterSwitches(t *testing.T) {
 }
 
 // TestStepExchangeClearsDeltasOnViolation: when the checked step
-// exchange reports a violation, it must still consume e.degDelta — the
-// deltas describe drift up to THIS boundary, and leaving them behind
-// would double-count the same drift against the next boundary's check
-// (or corrupt the picture entirely once the run rolls back).
+// exchange reports a violation, it must still consume the deltas — they
+// describe drift up to THIS boundary, and leaving them behind would
+// double-count the same drift against the next boundary's check (or
+// corrupt the picture entirely once the run rolls back). Over the dense
+// vector that means the touched list is empty and every entry is zero.
 func TestStepExchangeClearsDeltasOnViolation(t *testing.T) {
 	g, err := gen.ErdosRenyi(rng.New(46), 60, 240)
 	if err != nil {
@@ -284,7 +285,12 @@ func TestStepExchangeClearsDeltasOnViolation(t *testing.T) {
 	if _, _, err := eng.stepExchange(); err == nil {
 		t.Fatal("dropped edge not detected")
 	}
-	if len(eng.degDelta) != 0 {
-		t.Fatalf("degDelta holds %d entries after a violating exchange; must be cleared on every exit path", len(eng.degDelta))
+	if len(eng.touched.list) != 0 {
+		t.Fatalf("touched list holds %d vertices after a violating exchange; must be cleared on every exit path", len(eng.touched.list))
+	}
+	for v, d := range eng.degDelta {
+		if d != 0 {
+			t.Fatalf("degDelta[%d] = %d after a violating exchange; the vector must be zeroed on every exit path", v, d)
+		}
 	}
 }
