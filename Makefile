@@ -35,9 +35,13 @@ race:
 # fault-injection leg (TestRunKillRestoreMultiProcess): a worker is
 # SIGKILLed mid-run and the world must roll back to its last committed
 # checkpoint, admit a replacement rank, and finish with the input's
-# exact degree sequence.
+# exact degree sequence. The rollback leg then runs ten more times, so
+# a race in the restart path (such as the coordinator re-listening on a
+# port its predecessor just closed) shows up in CI rather than as a rare
+# flake.
 racedist:
 	$(GO) test -race -timeout 10m ./cmd/esworker/
+	$(GO) test -race -count=10 -timeout 10m -run='^TestRunKillRestoreMultiProcess$$' ./cmd/esworker/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$
@@ -72,12 +76,14 @@ benchsmoke:
 
 # Fuzz smoke: 15 s of coverage-guided fuzzing on each decoder of peer or
 # disk bytes that has a fuzz target — the step-exchange payload and the
-# adjacency codec. Seed corpora already run under `make test`; this leg
-# searches beyond them. A crasher is written under the package's
-# testdata/fuzz/ and fails the target.
+# adjacency codec — and on the adjacency set's operation sequences,
+# checked against a sorted-slice reference. Seed corpora already run
+# under `make test`; this leg searches beyond them. A crasher is written
+# under the package's testdata/fuzz/ and fails the target.
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzStepPayload$$' -fuzztime=15s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzAdjCodec$$' -fuzztime=15s ./internal/graph/
+	$(GO) test -run='^$$' -fuzz='^FuzzAdjSetOps$$' -fuzztime=15s ./internal/graph/
 
 # Large-graph smokes: a >=10^7-edge preferential-attachment graph
 # through the communication-free bootstrap at p=8, pinned to the exact

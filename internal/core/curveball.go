@@ -576,8 +576,9 @@ func SequentialCurveball(g *graph.Graph, rounds int64, seed uint64) (SeqStats, e
 		cur, next = next, cur
 	}
 
-	// Rebuild g in place from the settled list. Priorities come from a
-	// seed-split RNG; they only shape treap internals, never results.
+	// Rebuild g in place from the settled list. The graph's insert path
+	// still draws a (now unused) priority per edge; a seed-split RNG
+	// keeps those draws off the run stream.
 	pr := rng.Split(seed, 1)
 	for _, ed := range g.Edges() {
 		g.RemoveEdge(ed)

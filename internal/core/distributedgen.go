@@ -88,32 +88,28 @@ func genPartitioner(gn *pergen.Gen, scheme Scheme, p int, seed uint64) (partitio
 	}
 }
 
-// genEdge is one owned edge of the generation scan with the treap
-// priority drawn at emission time — buffering the draw keeps the rank's
-// RNG consumption (one Uint32 per emitted edge, duplicates included)
-// identical to inserting during the scan, so the switching phase sees
-// the same stream position either way.
-type genEdge struct {
-	u, v graph.Vertex
-	prio uint32
-}
+// genEdge is one owned edge of the generation scan.
+type genEdge struct{ u, v graph.Vertex }
 
 // newRankEngineFromGen loads a rank engine directly from the generator:
 // one pass over the spec's edge enumeration buffers the edges this rank
 // owns, then each owned vertex's adjacency is bulk-built in O(d) from
 // its sorted targets (graph.BuildSorted), producing the same adjacency
-// sets as one-at-a-time insertion without its O(d log d) descents —
-// which dominate the bootstrap once the enumeration itself is cheap.
-// Grouping by owner is a counting sort keyed on the dense local index
-// (a comparison sort over the whole buffer would cost more than the
-// treap work it saves); within a group, targets are insertion-sorted —
+// sets as one-at-a-time insertion without its per-edge searches and
+// shifts. Grouping by owner is a counting sort keyed on the dense local
+// index (a comparison sort over the whole buffer would cost more than
+// the set work it saves); within a group, targets are insertion-sorted —
 // reduced adjacencies are small on average, and the large PA hub groups
 // that would degrade it quadratically fall back to sort.Slice. A
-// repeated edge (contact cross-slot collisions, birthday-rare) keeps
-// one emitted copy's priority — which copy is unspecified, and
-// immaterial: priorities only steer treap shape. Both copies share
-// their minimum endpoint, so duplicates collapse wholly inside one rank
-// and the global edge set stays independent of p.
+// repeated edge (contact cross-slot collisions, birthday-rare) is kept
+// once. Both copies share their minimum endpoint, so duplicates collapse
+// wholly inside one rank and the global edge set stays independent of
+// p.
+//
+// The scan draws one Uint32 from the run RNG per emitted edge,
+// duplicates included: the draw once supplied a treap priority, and
+// keeping it leaves the switching phase at the same stream position, so
+// seeded runs stay bit-identical to those of earlier builds.
 func newRankEngineFromGen(c *mpi.Comm, pt partition.Partitioner, gn *pergen.Gen, cfg Config) (*rankEngine, error) {
 	e, err := newEmptyRankEngine(c, pt, gn.N(), cfg)
 	if err != nil {
@@ -122,7 +118,8 @@ func newRankEngineFromGen(c *mpi.Comm, pt partition.Partitioner, gn *pergen.Gen,
 	p := c.Size()
 	buf := make([]genEdge, 0, int(gn.Spec().MaxEdges()/int64(p))+gn.N()/p+16)
 	gn.PartitionEdges(pt, c.Rank(), func(ed graph.Edge) {
-		buf = append(buf, genEdge{ed.U, ed.V, e.rnd.Uint32()})
+		buf = append(buf, genEdge{ed.U, ed.V})
+		e.rnd.Uint32()
 	})
 
 	// Dense local-index table for the load: the engine's map serves
@@ -155,7 +152,6 @@ func newRankEngineFromGen(c *mpi.Comm, pt partition.Partitioner, gn *pergen.Gen,
 
 	counts := make([]int64, nv)
 	var keys []graph.Vertex
-	var prios []uint32
 	for li := 0; li < nv; li++ {
 		grp := sorted[starts[li]:starts[li+1]]
 		if len(grp) == 0 {
@@ -171,15 +167,14 @@ func newRankEngineFromGen(c *mpi.Comm, pt partition.Partitioner, gn *pergen.Gen,
 		} else {
 			sort.Slice(grp, func(i, j int) bool { return grp[i].v < grp[j].v })
 		}
-		keys, prios = keys[:0], prios[:0]
+		keys = keys[:0]
 		for i := range grp {
 			if n := len(keys); n > 0 && keys[n-1] == grp[i].v {
 				continue // duplicate emission collapses here
 			}
 			keys = append(keys, grp[i].v)
-			prios = append(prios, grp[i].prio)
 		}
-		e.adj.BuildSorted(li, keys, prios, true)
+		e.adj.BuildSorted(li, keys, nil, true)
 		counts[li] = int64(len(keys))
 	}
 	e.deg = graph.NewFenwickFrom(counts)

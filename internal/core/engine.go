@@ -39,7 +39,7 @@ type rankEngine struct {
 	// Local storage: verts lists owned vertices ascending; index maps a
 	// global vertex id to its slot; adj holds the reduced adjacencies
 	// (slot li's entries are global neighbour ids, each > the owner
-	// vertex) behind the store seam — all-in-memory treaps, or the
+	// vertex) behind the store seam — all-in-memory sets, or the
 	// tiered mmap-base-plus-overlay store when Config.SpillDir is set;
 	// deg is the Fenwick tree over reduced degrees for O(log) uniform
 	// edge selection.
@@ -247,24 +247,14 @@ func newRankEngine(c *mpi.Comm, pt partition.Partitioner, n int, m int64, edges 
 	return e, nil
 }
 
-// promotePrioSplit namespaces the tiered store's promotion-priority
-// stream in the seed's split space, clear of the per-rank run streams
-// (rank+2), the HP-U streams (1<<20 block) and the snapshot-restore
-// streams (restorePrioSplit's 1<<21 block). Treap priorities shape only
-// tree form, never results, but drawing them from the run RNG would
-// desynchronize spill and in-memory runs — this stream keeps the two
-// bit-identical.
-const promotePrioSplit = 1 << 22
-
-// newStore builds the rank's storage: the in-memory treap store, or the
-// tiered spill store rooted at SpillDir/rank-NNNN when configured.
+// newStore builds the rank's storage: the in-memory store, or the tiered
+// spill store rooted at SpillDir/rank-NNNN when configured.
 func newStore(c *mpi.Comm, verts []graph.Vertex, cfg Config) (store.Store, error) {
 	if cfg.SpillDir == "" {
 		return store.NewMem(verts), nil
 	}
 	dir := filepath.Join(cfg.SpillDir, fmt.Sprintf("rank-%04d", c.Rank()))
-	prio := rng.Split(cfg.Seed, promotePrioSplit+c.Rank())
-	return store.NewTiered(dir, verts, cfg.OverlayBudget, prio.Uint32)
+	return store.NewTiered(dir, verts, cfg.OverlayBudget, nil)
 }
 
 // newEmptyRankEngine prepares a rank's state with an empty partition;

@@ -79,7 +79,7 @@ type Config struct {
 	// batching win; leave off otherwise.
 	DisableBatching bool
 	// SpillDir, when set, switches every rank's partition storage from
-	// in-memory treaps to the tiered out-of-core store (internal/store,
+	// in-memory adjacency sets to the tiered out-of-core store (internal/store,
 	// DESIGN.md §7): an immutable mmap'd base segment under
 	// SpillDir/rank-NNNN holds the partition on disk, an in-memory
 	// overlay holds only vertices touched since the last compaction, and
@@ -218,7 +218,7 @@ type Result struct {
 	// of the run (0 without Config.SpillDir).
 	SpillBaseBytes int64
 	// SpillOverlayHWM totals the ranks' overlay entry high-water marks —
-	// the peak treap entries resident between compactions.
+	// the peak overlay entries resident between compactions.
 	SpillOverlayHWM int64
 	// SpillCompactions totals base-segment rewrites across ranks.
 	SpillCompactions int64

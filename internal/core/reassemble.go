@@ -11,7 +11,7 @@ import (
 
 // reassemble rebuilds the global switched graph from the per-rank edge
 // payloads gathered at rank 0. The edge-at-a-time rebuild was a serial
-// tail on large graphs (every record paid an O(log d) treap insert plus
+// tail on large graphs (every record paid an adjacency-set insert plus
 // an O(log n) Fenwick update on one core), so it is sharded: decode
 // workers parse each rank's 9-byte records in parallel and bucket them
 // by U mod W, then W shard workers bulk-insert their buckets through

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 
 	"edgeswitch/internal/graph"
-	"edgeswitch/internal/rng"
 	"edgeswitch/internal/store"
 )
 
@@ -15,11 +14,9 @@ import (
 // checkStepInvariants), and the sanitizer's degree deltas have been
 // folded into the exchange — so a rank's entire resumable state is its
 // partition (adjacency keys + original flags), its RNG stream position,
-// the randomizer's cursor, and a handful of counters. Treap priorities
-// are deliberately not captured: uniform edge selection is key-order
-// based (Fenwick prefix + Kth), so priorities shape only the treap's
-// internal form and a restore draws fresh ones from a dedicated stream,
-// leaving the run RNG at exactly its captured position.
+// the randomizer's cursor, and a handful of counters. Adjacency sets are
+// key-ordered with no hidden shape, so a restore rebuilds them from the
+// keys alone and the run RNG stays at exactly its captured position.
 //
 // Layout (little-endian), with a CRC32C (Castagnoli) trailer over
 // everything before it:
@@ -68,11 +65,6 @@ const snapHeaderLen = 208
 // castagnoli is the CRC32C table shared by snapshot trailers and the
 // manifest's degree-sequence checksum.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// restorePrioSplit offsets the per-rank stream index of the restore-only
-// priority RNG far away from every stream the run itself draws from
-// (ranks use indices rank+2, HP-U uses 1<<20).
-const restorePrioSplit = 1 << 21
 
 // snapAlgoByte maps the algorithm to its snapshot byte.
 func snapAlgoByte(a Algorithm) uint8 {
@@ -240,26 +232,19 @@ func decodeSnapshotHeader(data []byte) (*snapState, []byte, error) {
 
 // loadSnapshotAdjacency rebuilds the engine's local storage from the
 // snapshot's adjacency bytes: each slot's keys and original flags are
-// decoded and bulk-built (graph.AdjSet.BuildSortedFlagged), with fresh
-// treap priorities drawn from a restore-only stream so the run RNG stays
-// at its captured position. The Fenwick tree is rebuilt from the counts.
+// decoded and bulk-built (graph.AdjSet.BuildSortedFlagged). The Fenwick
+// tree is rebuilt from the counts.
 func (e *rankEngine) loadSnapshotAdjacency(adjData []byte) error {
-	prioRnd := rng.Split(e.seed, restorePrioSplit+e.c.Rank())
 	counts := make([]int64, len(e.verts))
 	var keys []graph.Vertex
 	var origs []bool
-	var prios []uint32
 	var err error
 	for li := range e.verts {
 		keys, origs, adjData, err = graph.DecodeAdjSet(adjData, e.verts[li], keys[:0], origs[:0])
 		if err != nil {
 			return err
 		}
-		prios = prios[:0]
-		for range keys {
-			prios = append(prios, prioRnd.Uint32())
-		}
-		e.adj.BuildSortedFlagged(li, keys, prios, origs)
+		e.adj.BuildSortedFlagged(li, keys, nil, origs)
 		counts[li] = int64(len(keys))
 	}
 	if len(adjData) != 0 {
@@ -273,9 +258,9 @@ func (e *rankEngine) loadSnapshotAdjacency(adjData []byte) error {
 // external snapshot's hard-linked base segment. A tiered store adopts
 // the file directly (hard link or copy into its spill directory, full
 // CRC verification — no decode, no re-encode); an in-memory store
-// decodes every list out of the mapping and bulk-builds its treaps with
-// priorities from the restore-only stream, exactly like the inline
-// path. Either way the Fenwick tree is rebuilt from the store's counts.
+// decodes every list out of the mapping and bulk-builds its sets,
+// exactly like the inline path. Either way the Fenwick tree is rebuilt
+// from the store's counts.
 func (e *rankEngine) loadSnapshotSegment(path string, id segIdentity) error {
 	if ts, ok := e.adj.(*store.Tiered); ok {
 		if err := ts.AdoptSegment(path, id.crc, id.size); err != nil {
@@ -294,20 +279,14 @@ func (e *rankEngine) loadSnapshotSegment(path string, id segIdentity) error {
 		if seg.NV() != len(e.verts) {
 			return fmt.Errorf("core: linked segment %s holds %d slots, partition owns %d", path, seg.NV(), len(e.verts))
 		}
-		prioRnd := rng.Split(e.seed, restorePrioSplit+e.c.Rank())
 		var keys []graph.Vertex
 		var origs []bool
-		var prios []uint32
 		for li := range e.verts {
 			keys, origs, _, err = graph.DecodeAdjSet(seg.List(li), e.verts[li], keys[:0], origs[:0])
 			if err != nil {
 				return err
 			}
-			prios = prios[:0]
-			for range keys {
-				prios = append(prios, prioRnd.Uint32())
-			}
-			e.adj.BuildSortedFlagged(li, keys, prios, origs)
+			e.adj.BuildSortedFlagged(li, keys, nil, origs)
 		}
 	}
 	counts := make([]int64, len(e.verts))

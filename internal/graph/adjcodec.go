@@ -12,25 +12,21 @@ import (
 // predecessor (the owner vertex for the first entry). Reduced
 // adjacencies hold strictly ascending neighbours > owner, so every gap
 // is >= 1 and small keys cost one byte; a partition round-trips in a
-// fraction of the 9-byte-per-edge wire records. Treap priorities are
-// deliberately NOT encoded: uniform edge selection goes through
-// key-order statistics (Fenwick prefix + Kth), so priorities shape only
-// the treap's internal form, and a restore may draw fresh ones.
+// fraction of the 9-byte-per-edge wire records.
 
 // AppendAdjSet appends the encoding of s (owned by owner) to buf and
 // returns the extended slice.
 func (s *AdjSet) AppendAdjSet(buf []byte, owner Vertex) []byte {
 	buf = binary.AppendUvarint(buf, uint64(s.Len()))
-	prev := owner
-	s.Walk(func(v Vertex, orig bool) bool {
-		gap := uint64(v-prev) << 1
-		if orig {
-			gap |= 1
+	prev := uint32(owner) << 1
+	for _, b := range s.blocks {
+		for _, e := range b {
+			// Packed entries differ by gap<<1 in their key bits, and the
+			// flag bit rides along: (e - prev&^1) is (gap<<1)|orig.
+			buf = binary.AppendUvarint(buf, uint64(e-prev&^1))
+			prev = e
 		}
-		buf = binary.AppendUvarint(buf, gap)
-		prev = v
-		return true
-	})
+	}
 	return buf
 }
 
@@ -44,7 +40,7 @@ func AppendEmptyAdjSet(buf []byte) []byte {
 // AppendSortedAdj appends the encoding of a strictly ascending key list
 // owned by owner, every entry sharing one original flag — the tiered
 // store's streaming bulk-load path, which encodes partitions straight to
-// disk without materializing treaps.
+// disk without materializing sets.
 func AppendSortedAdj(buf []byte, owner Vertex, keys []Vertex, orig bool) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(keys)))
 	prev := owner

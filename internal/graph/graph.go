@@ -1,7 +1,7 @@
 // Package graph provides the in-memory graph representation shared by the
 // sequential and parallel edge-switch algorithms: simple undirected graphs
 // stored as reduced adjacency lists (each edge (u,v) with u < v appears
-// once, in the list of u), with order-statistic treap adjacency sets and
+// once, in the list of u), with order-statistic adjacency sets and
 // Fenwick-tree degree indices for O(log) uniform edge sampling.
 package graph
 
@@ -310,7 +310,7 @@ func (g *Graph) Clone(r randSource) *Graph {
 }
 
 // CheckSimple verifies the structural invariants: no loops, no duplicate
-// entries (the treap enforces these by construction), edge count matching
+// entries (the sets enforce these by construction), edge count matching
 // the Fenwick total. It returns an error describing the first violation.
 func (g *Graph) CheckSimple() error {
 	var count int64

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
@@ -64,11 +65,13 @@ type ProcWorld struct {
 }
 
 // JoinDistributed connects this process to a distributed world of the
-// given size as the given rank. Rank 0 listens on addr and routes all
-// traffic; other ranks dial addr (retrying with backoff until the
-// coordinator is up — and re-dialing on transient mid-handshake failures
-// — within timeout). All ranks must agree on size; the versioned
-// handshake rejects a disagreeing or mismatched-binary joiner loudly.
+// given size as the given rank. Rank 0 listens on addr (retrying while
+// the address is still in use, as after a rollback restart) and routes
+// all traffic; other ranks dial addr (retrying with backoff until the
+// coordinator is up — and re-dialing on transient mid-handshake failures).
+// Listening and dialing share one deadline, timeout from the call. All
+// ranks must agree on size; the versioned handshake rejects a
+// disagreeing or mismatched-binary joiner loudly.
 func JoinDistributed(rank, size int, addr string, timeout time.Duration, opts ...DistOption) (*ProcWorld, error) {
 	if size <= 0 || rank < 0 || rank >= size {
 		return nil, fmt.Errorf("mpi: invalid rank %d of %d", rank, size)
@@ -78,14 +81,15 @@ func JoinDistributed(rank, size int, addr string, timeout time.Duration, opts ..
 		o(&cfg)
 	}
 	pw := &ProcWorld{rank: rank, size: size, box: newMailbox()}
+	deadline := time.Now().Add(timeout)
 	if rank == 0 {
-		hub, err := newDistHub(addr, size)
+		hub, err := newDistHub(addr, size, deadline)
 		if err != nil {
 			return nil, err
 		}
 		pw.hub = hub
 	}
-	client, err := dialDist(rank, size, addr, pw.box, timeout, cfg.writeTimeout)
+	client, err := dialDist(rank, size, addr, pw.box, deadline, cfg.writeTimeout)
 	if err != nil {
 		if pw.hub != nil {
 			_ = pw.hub.stop() // the dial failure is the error worth reporting
@@ -188,11 +192,7 @@ var testDialWrap func(rank int, conn net.Conn) net.Conn
 // (errJoinClosed) is transient like a refused connection: a recovering
 // world restarts its coordinator on the same address, so a replacement
 // rank dialing during teardown retries until the new hub is up.
-func dialDist(rank, size int, addr string, box *mailbox, timeout, wto time.Duration) (*distClient, error) {
-	deadline := time.Now().Add(timeout)
-	// The first retry comes after 1ms (fast startup when the coordinator
-	// is nearly up), doubling to a 64ms cap so a missing coordinator
-	// isn't hammered.
+func dialDist(rank, size int, addr string, box *mailbox, deadline time.Time, wto time.Duration) (*distClient, error) {
 	backoff := time.Millisecond
 	for {
 		conn, err := dialOnce(rank, size, addr, deadline)
@@ -214,11 +214,18 @@ func dialDist(rank, size int, addr string, box *mailbox, timeout, wto time.Durat
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("mpi: dialing coordinator %s: %w", addr, err)
 		}
-		t := time.NewTimer(backoff)
-		<-t.C
-		if backoff < 64*time.Millisecond {
-			backoff *= 2
-		}
+		retryBackoff(&backoff)
+	}
+}
+
+// retryBackoff sleeps for *b, then doubles it up to a 64ms cap. Callers
+// start at 1ms: the first retry is fast when the other side is nearly
+// ready, and one that is not isn't hammered.
+func retryBackoff(b *time.Duration) {
+	t := time.NewTimer(*b)
+	<-t.C
+	if *b < 64*time.Millisecond {
+		*b *= 2
 	}
 }
 
@@ -332,10 +339,10 @@ type distHub struct {
 	once     sync.Once
 }
 
-func newDistHub(addr string, size int) (*distHub, error) {
-	ln, err := net.Listen("tcp", addr)
+func newDistHub(addr string, size int, deadline time.Time) (*distHub, error) {
+	ln, err := listenCoordinator(addr, deadline)
 	if err != nil {
-		return nil, fmt.Errorf("mpi: coordinator listen on %s: %w", addr, err)
+		return nil, err
 	}
 	h := &distHub{
 		ln:       ln,
@@ -353,6 +360,27 @@ func newDistHub(addr string, size int) (*distHub, error) {
 		h.accept()
 	}()
 	return h, nil
+}
+
+// listenCoordinator binds the hub's listener. A rollback restarts the
+// coordinator on the address its predecessor just closed, and the bind
+// can still fail with EADDRINUSE for a moment after the old listener is
+// gone (no socket shows on the port right after the failed bind). That
+// error is retried with the dialers' backoff until the join deadline;
+// any other error, or a port still held at the deadline, fails with the
+// listen error.
+func listenCoordinator(addr string, deadline time.Time) (net.Listener, error) {
+	backoff := time.Millisecond
+	for {
+		ln, err := net.Listen("tcp", addr)
+		if err == nil {
+			return ln, nil
+		}
+		if !errors.Is(err, syscall.EADDRINUSE) || time.Now().After(deadline) {
+			return nil, fmt.Errorf("mpi: coordinator listen on %s: %w", addr, err)
+		}
+		retryBackoff(&backoff)
+	}
 }
 
 // writerFor returns rank's writer, blocking on the join condition until

@@ -1,9 +1,12 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -77,6 +80,49 @@ func TestJoinDistributedDialTimeout(t *testing.T) {
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("timeout not honoured")
 	}
+}
+
+// TestCoordinatorListenRetriesAddrInUse: a rollback restarts the
+// coordinator on the address its predecessor just closed, where the bind
+// can briefly fail with EADDRINUSE. A port held for a moment must be
+// waited out; a port held past the join timeout must fail with the
+// named listen error once the timeout has passed, not before.
+func TestCoordinatorListenRetriesAddrInUse(t *testing.T) {
+	t.Run("released", func(t *testing.T) {
+		hold, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		release := time.AfterFunc(150*time.Millisecond, func() { hold.Close() })
+		defer release.Stop()
+		pw, err := JoinDistributed(0, 1, hold.Addr().String(), 5*time.Second)
+		if err != nil {
+			t.Fatalf("coordinator did not wait out a briefly held port: %v", err)
+		}
+		if err := pw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("held", func(t *testing.T) {
+		hold, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hold.Close()
+		const timeout = 300 * time.Millisecond
+		start := time.Now()
+		pw, err := JoinDistributed(0, 1, hold.Addr().String(), timeout)
+		if err == nil {
+			pw.Close()
+			t.Fatal("coordinator listened on a port another socket holds")
+		}
+		if !errors.Is(err, syscall.EADDRINUSE) || !strings.Contains(err.Error(), "coordinator listen on") {
+			t.Fatalf("error %q does not name the held listen address", err)
+		}
+		if el := time.Since(start); el < timeout || el > 5*time.Second {
+			t.Fatalf("gave up after %v, want the %v join timeout", el, timeout)
+		}
+	})
 }
 
 func TestDistributedPointToPoint(t *testing.T) {

@@ -1,8 +1,8 @@
 // Package store is the per-rank partition storage seam of the parallel
 // engine: an AdjSet-shaped, slot-indexed interface with two
-// implementations — Mem, the all-in-memory treap layer the engine always
-// had, and Tiered, a two-tier out-of-core store that keeps an immutable
-// mmap'd CSR base segment on disk with the treaps demoted to a bounded
+// implementations — Mem, the all-in-memory graph.AdjSet layer the engine
+// always had, and Tiered, a two-tier out-of-core store that keeps an
+// immutable mmap'd CSR base segment on disk with the sets demoted to a bounded
 // delta overlay of vertices touched since the last compaction
 // (DESIGN.md §7). The engine mutates storage only through this
 // interface, so both randomizers (edge-switch conversations and
@@ -36,8 +36,8 @@ type Store interface {
 	// out of range, like AdjSet.Kth. Callers take the entry to mutate it
 	// (the engine's takeLocal), so Tiered promotes the slot.
 	Kth(li, k int) (graph.Vertex, bool)
-	// Insert adds v to slot li with the given flag and treap priority,
-	// reporting false on a duplicate.
+	// Insert adds v to slot li with the given flag, reporting false on
+	// a duplicate. prio is unused, like graph.AdjSet's.
 	Insert(li int, v graph.Vertex, original bool, prio uint32) bool
 	// Delete removes v from slot li, reporting presence and the flag of
 	// the removed entry.
@@ -49,8 +49,7 @@ type Store interface {
 	// returning false stops early.
 	Walk(li int, fn func(v graph.Vertex, original bool) bool)
 	// BuildSorted bulk-fills empty slot li from strictly ascending keys,
-	// all entries sharing one flag. Priorities may be ignored by
-	// implementations that do not materialize a treap for the slot.
+	// all entries sharing one flag. prios is unused and may be nil.
 	BuildSorted(li int, keys []graph.Vertex, prios []uint32, original bool)
 	// BuildSortedFlagged is BuildSorted with per-entry flags.
 	BuildSortedFlagged(li int, keys []graph.Vertex, prios []uint32, origs []bool)
@@ -87,8 +86,8 @@ type Stats struct {
 	CompactNs int64
 }
 
-// Mem is the all-in-memory Store: a treap per slot over one shared node
-// arena — exactly the storage the engine owned before the seam existed.
+// Mem is the all-in-memory Store: a graph.AdjSet per slot over one
+// shared block arena — exactly the storage the engine owned before the seam existed.
 type Mem struct {
 	verts []graph.Vertex
 	adj   []graph.AdjSet

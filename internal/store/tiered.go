@@ -12,20 +12,18 @@ import (
 
 // Tiered is the out-of-core Store: an immutable mmap'd base segment
 // holding the whole partition in slot order, plus a bounded in-memory
-// delta overlay — one treap per slot, but only for slots touched since
-// the last compaction. Reads consult overlay-then-base; every mutation
-// promotes its slot into the overlay first (materializing the base list
-// into a treap once); when the overlay outgrows its budget at a step
+// delta overlay — one graph.AdjSet per slot, but only for slots touched
+// since the last compaction. Reads consult overlay-then-base; every
+// mutation promotes its slot into the overlay first (materializing the
+// base list into a set once); when the overlay outgrows its budget at a step
 // boundary, a compaction merges it into a new base segment in one
 // sequential pass — unpromoted slots are copied verbatim, byte for byte,
 // since the gap encoding is owner-relative and they did not change.
 // Steady-state memory is O(working set between compactions), not
 // O(|E_local|); the mmap'd base does not count against GOMEMLIMIT.
 //
-// Tiered never consumes the engine's run RNG: promotion priorities come
-// from the dedicated stream handed to NewTiered, so spill and in-memory
-// runs make identical random choices (priorities shape only treap form,
-// never results — selection is by key order).
+// Tiered never consumes the engine's run RNG, so spill and in-memory
+// runs make identical random choices.
 type Tiered struct {
 	dir   string
 	verts []graph.Vertex
@@ -48,15 +46,12 @@ type Tiered struct {
 	budget        int64
 	cfgBudget     int64
 
-	prio func() uint32
-
 	compactions int64
 	compactNs   int64
 
 	// decode/encode scratch, reused across slots
 	keys   []graph.Vertex
 	origs  []bool
-	prios  []uint32
 	encBuf []byte
 }
 
@@ -66,9 +61,9 @@ const autoBudgetFloor = 4096
 // NewTiered creates a tiered store spilling to dir (created if absent;
 // any stale segments from a previous run are removed). verts maps slots
 // to owner labels and is retained. budget caps the overlay's entry
-// count; 0 resolves to max(loadedEntries/4, 4096) at EndLoad. prio
-// supplies treap priorities for promoted entries and must be a stream
-// independent of the run RNG.
+// count; 0 resolves to max(loadedEntries/4, 4096) at EndLoad. prio is
+// unused (it once supplied treap priorities for promoted entries) and
+// may be nil.
 func NewTiered(dir string, verts []graph.Vertex, budget int64, prio func() uint32) (*Tiered, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, err
@@ -89,11 +84,10 @@ func NewTiered(dir string, verts []graph.Vertex, budget int64, prio func() uint3
 		promoted:  make([]bool, len(verts)),
 		loading:   true,
 		cfgBudget: budget,
-		prio:      prio,
 	}, nil
 }
 
-// inOverlay reports whether slot li's live content is the overlay treap
+// inOverlay reports whether slot li's live content is the overlay set
 // (no base yet, or promoted since the last compaction).
 func (t *Tiered) inOverlay(li int) bool { return t.seg == nil || t.promoted[li] }
 
@@ -109,26 +103,20 @@ func (t *Tiered) corrupt(li int, err error) {
 }
 
 // materialize promotes slot li: its base list is decoded into an overlay
-// treap (with fresh priorities from the promotion stream) and the base
-// copy goes dead until the next compaction.
+// set and the base copy goes dead until the next compaction.
 func (t *Tiered) materialize(li int) {
 	keys, origs, _, err := graph.DecodeAdjSet(t.list(li), t.verts[li], t.keys[:0], t.origs[:0])
 	if err != nil {
 		t.corrupt(li, err)
 	}
 	t.keys, t.origs = keys, origs
-	prios := t.prios[:0]
-	for range keys {
-		prios = append(prios, t.prio())
-	}
-	t.prios = prios
-	t.overlay[li].BuildSortedFlagged(&t.arena, keys, prios, origs)
+	t.overlay[li].BuildSortedFlagged(&t.arena, keys, nil, origs)
 	t.promoted[li] = true
 	t.promotedCount++
 	t.addEntries(int64(len(keys)))
 }
 
-// ensureWritable makes slot li's live content an overlay treap.
+// ensureWritable makes slot li's live content an overlay set.
 func (t *Tiered) ensureWritable(li int) {
 	t.ensureLoaded()
 	if !t.inOverlay(li) {
@@ -337,7 +325,7 @@ func (t *Tiered) streamBuild(li int, enc func([]byte, graph.Vertex) []byte) bool
 }
 
 // BuildSorted implements Store. Ascending-slot loads on a pristine store
-// stream straight to the base segment — no treaps are materialized, so
+// stream straight to the base segment — no sets are materialized, so
 // bootstrap memory is O(scratch), not O(|E_local|).
 func (t *Tiered) BuildSorted(li int, keys []graph.Vertex, prios []uint32, original bool) {
 	if t.loading {
@@ -409,8 +397,8 @@ func (t *Tiered) EndStep() error {
 }
 
 // Compact merges the overlay into a new base segment: one sequential
-// write of all nv slots — promoted slots re-encoded from their treaps
-// (nodes recycled to the arena as they go), unpromoted slots copied byte
+// write of all nv slots — promoted slots re-encoded from their sets
+// (blocks recycled to the arena as they go), unpromoted slots copied byte
 // for byte from the old mapping — then an atomic rename, after which the
 // old segment is unmapped and removed. A crash anywhere in between
 // leaves either the old or the new generation complete on disk.
